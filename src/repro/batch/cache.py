@@ -8,8 +8,8 @@ A cache key addresses one compilation *cell* by content, not identity:
   annotated cost function);
 * the **cost-function identity** of any explicit override;
 * every compile **option** that can change the output (optimize flag,
-  verify method and strategy, placement, MCX lowering mode, sample
-  count).
+  verify method, placement, MCX lowering mode, known-zero facts,
+  route, layout restoration).
 
 Two grid cells with the same key provably run the identical compilation,
 so the second one is served from cache — the paper's Tables 3 vs 4 and
@@ -118,8 +118,6 @@ def job_cache_key(
         f"verify={options.get('verify', True)}",
         f"placement={placement_id}",
         f"mcx_mode={options.get('mcx_mode', 'barenco')}",
-        f"verify_samples={options.get('verify_samples', 32)}",
-        f"verify_strategy={options.get('verify_strategy', 'miter')}",
         "known_zero={}".format(
             ",".join(map(str, sorted(options.get("known_zero", ()) or ())))
         ),

@@ -89,8 +89,6 @@ _KNOWN_OPTIONS = frozenset(
         "verify",
         "placement",
         "cost_function",
-        "verify_samples",
-        "verify_strategy",
         "mcx_mode",
         "analyze",
         "strict",
@@ -832,23 +830,7 @@ def _run_one_pool(
                     for entry in chunk:
                         state.record_error(entry, captured)
                 else:
-                    for index, status, payload, metrics_delta in chunk_out:
-                        entry = by_index[index]
-                        if status == "ok":
-                            result = pickle.loads(payload)
-                            state.record_ok(
-                                entry,
-                                result,
-                                result.synthesis_seconds,
-                                metrics_delta,
-                            )
-                            continue
-                        captured = pickle.loads(payload)
-                        if state.should_retry(entry, captured):
-                            state.metrics.merge(metrics_delta)
-                            requeue.append(entry)
-                        else:
-                            state.record_error(entry, captured, metrics_delta)
+                    _record_chunk(state, by_index, chunk_out, requeue)
             if broken:
                 # The pool poisons every remaining future once a worker
                 # dies; drain them as crash victims and rebuild.
@@ -863,30 +845,36 @@ def _run_one_pool(
                         _charge_crash(state, chunk, requeue, deferred)
                         continue
                     # Raced to completion before the pool broke.
-                    for index, status, payload, metrics_delta in chunk_out:
-                        entry = by_index[index]
-                        if status == "ok":
-                            result = pickle.loads(payload)
-                            state.record_ok(
-                                entry,
-                                result,
-                                result.synthesis_seconds,
-                                metrics_delta,
-                            )
-                        else:
-                            captured = pickle.loads(payload)
-                            if state.should_retry(entry, captured):
-                                state.metrics.merge(metrics_delta)
-                                requeue.append(entry)
-                            else:
-                                state.record_error(
-                                    entry, captured, metrics_delta
-                                )
+                    _record_chunk(state, by_index, chunk_out, requeue)
                 outstanding.clear()
                 state.pool_restarts += 1
         return requeue, deferred
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _record_chunk(
+    state: _Batch,
+    by_index: Dict[int, _Pending],
+    chunk_out: List[Tuple[int, str, bytes, Dict]],
+    requeue: List[_Pending],
+) -> None:
+    """Record a finished chunk's per-job outcomes; retryable errors
+    join ``requeue``."""
+    for index, status, payload, metrics_delta in chunk_out:
+        entry = by_index[index]
+        if status == "ok":
+            result = pickle.loads(payload)
+            state.record_ok(
+                entry, result, result.synthesis_seconds, metrics_delta
+            )
+            continue
+        captured = pickle.loads(payload)
+        if state.should_retry(entry, captured):
+            state.metrics.merge(metrics_delta)
+            requeue.append(entry)
+        else:
+            state.record_error(entry, captured, metrics_delta)
 
 
 def _charge_crash(

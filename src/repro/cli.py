@@ -68,12 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="emit the raw mapping")
     compile_cmd.add_argument("--verify", default="auto",
                              choices=["auto", "qmdd", "dense", "sampled", "none"])
-    compile_cmd.add_argument("--verify-strategy", dest="verify_strategy",
-                             default="miter",
-                             choices=["miter", "two_sided"],
-                             help="QMDD build strategy: incremental miter "
-                                  "against the identity (default, fast) or "
-                                  "the paper's two-sided root comparison")
     compile_cmd.add_argument("--mcx-mode", default="barenco",
                              choices=["barenco", "relative_phase"],
                              help="generalized-Toffoli lowering strategy")
@@ -141,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="worker processes for the compile fan-out")
     fuzz.add_argument("--timeout", type=float, default=30.0,
                       help="per-case compile timeout in seconds (default 30)")
-    fuzz.add_argument("--verify-strategy", dest="verify_strategy",
-                      default="miter", choices=["miter", "two_sided"],
-                      help="QMDD oracle build strategy (default miter)")
     fuzz.add_argument("--route", default=None, choices=["ctr", "sabre"],
                       help="pin the routing axis to one strategy "
                            "(default: the campaign sweeps both)")
@@ -246,9 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("second")
     verify.add_argument("--method", default="auto",
                         choices=["auto", "qmdd", "dense", "sampled"])
-    verify.add_argument("--strategy", default="miter",
-                        choices=["miter", "two_sided"],
-                        help="QMDD build strategy (default miter)")
     verify.add_argument("--up-to-global-phase", action="store_true")
     verify.set_defaults(handler=cmd_verify)
 
@@ -293,7 +281,6 @@ def cmd_compile(args) -> int:
     options = {
         "optimize": not args.no_optimize,
         "verify": verify,
-        "verify_strategy": args.verify_strategy,
         "placement": args.placement,
         "mcx_mode": args.mcx_mode,
         "route": args.route,
@@ -757,7 +744,6 @@ def cmd_fuzz(args) -> int:
         devices=list(args.fuzz_devices) if args.fuzz_devices else None,
         workers=args.workers,
         timeout=args.timeout,
-        verify_strategy=args.verify_strategy,
         route=args.route,
     )
     report = run_fuzz(
@@ -821,7 +807,6 @@ def cmd_verify(args) -> int:
     report = verify_equivalent(
         first, second, method=args.method,
         up_to_global_phase=args.up_to_global_phase,
-        strategy=args.strategy,
     )
     verdict = "EQUIVALENT" if report.equivalent else "NOT EQUIVALENT"
     print(f"{verdict} (method={report.method} {report.detail})")

@@ -104,8 +104,6 @@ def compile_circuit(
     verify: Union[bool, str] = True,
     placement: Union[None, str, Dict[int, int]] = None,
     cost_function: Optional[CostFunction] = None,
-    verify_samples: int = 32,
-    verify_strategy: str = "miter",
     mcx_mode: str = "barenco",
     analyze: bool = True,
     strict: bool = False,
@@ -122,9 +120,9 @@ def compile_circuit(
     (``"qmdd"``, ``"dense"``, ``"sampled"``).  Verification failure raises
     :class:`~repro.core.exceptions.VerificationError` — a mapped output
     never leaves the compiler unless it provably matches its source.
-    ``verify_strategy`` picks the QMDD build: ``"miter"`` (incremental
-    product against the identity — the fast path) or ``"two_sided"``
-    (the paper's build-both-and-compare formulation).
+    The QMDD check is the incremental miter against the identity; a NO
+    is re-asked only by exact methods (two-sided build, then the dense
+    unitary up to 10 wires), never overturned by sampling.
 
     ``placement`` is an explicit logical→physical dict, a strategy name
     (``"identity"``, ``"greedy"``, ``"refined"`` — see
@@ -231,6 +229,8 @@ def compile_circuit(
             )
             with t.span("optimize") as opt_span:
                 optimized = optimizer.run(unoptimized)
+                # getattr: stand-in optimizers (fault-injection tests)
+                # define only run().
                 opt_report = getattr(optimizer, "last_report", None)
                 dataflow_stats = getattr(optimizer, "last_dataflow", None)
                 if opt_report is not None:
@@ -268,9 +268,8 @@ def compile_circuit(
                 # phase per entangler.
                 phase_free = not device.supports_gate("CNOT")
                 report = require_equivalent(
-                    source, optimized, method=method, samples=verify_samples,
+                    source, optimized, method=method,
                     up_to_global_phase=phase_free,
-                    strategy=verify_strategy,
                     known_zero=physical_zero,
                     output_permutation=output_permutation,
                 )

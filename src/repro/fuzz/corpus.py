@@ -182,13 +182,7 @@ def replay_entry(
             passed=False,
             detail=f"compile raised {type(error).__name__}: {error}",
         )
-    verdict = oracle_check(
-        result,
-        samples=config.oracle_samples,
-        seed=config.seed,
-        qmdd_width_limit=config.qmdd_width_limit,
-        strategy=config.verify_strategy,
-    )
+    verdict = oracle_check(result, seed=config.seed)
     if not verdict.equivalent:
         return ReplayOutcome(
             entry=entry,

@@ -145,10 +145,6 @@ class FuzzConfig:
     workers: int = 1
     #: Per-job wall-clock bound, forwarded to the batch engine.
     timeout: Optional[float] = 30.0
-    oracle_samples: int = 32
-    qmdd_width_limit: int = 24
-    #: QMDD build strategy for the oracle ("miter" or "two_sided").
-    verify_strategy: str = "miter"
     #: Pin the routing axis to one strategy ("ctr"/"sabre"); ``None``
     #: (the default) lets every case draw its router like any other
     #: option axis, so the differential oracle covers both.
@@ -282,13 +278,7 @@ def resolve_options(named: Dict[str, str]) -> Dict:
     return options
 
 
-def oracle_check(
-    result: CompilationResult,
-    samples: int = 32,
-    seed: int = 2019,
-    qmdd_width_limit: int = 24,
-    strategy: str = "miter",
-):
+def oracle_check(result: CompilationResult, seed: int = 2019):
     """The differential oracle: does the optimized output implement the
     source?  QMDD when narrow enough, seeded sampling beyond — the same
     decision the compiler's own closing verification makes, but under
@@ -302,10 +292,7 @@ def oracle_check(
         result.optimized,
         method="auto",
         up_to_global_phase=phase_free,
-        qmdd_width_limit=qmdd_width_limit,
-        samples=samples,
         seed=seed,
-        strategy=strategy,
         output_permutation=result.output_permutation,
     )
 
@@ -326,14 +313,7 @@ def _still_miscompiles(
             result = job.run()
         except Exception:
             return False
-        report = oracle_check(
-            result,
-            samples=config.oracle_samples,
-            seed=config.seed,
-            qmdd_width_limit=config.qmdd_width_limit,
-            strategy=config.verify_strategy,
-        )
-        return not report.equivalent
+        return not oracle_check(result, seed=config.seed).equivalent
 
     return predicate
 
@@ -502,13 +482,7 @@ def _judge(
             detail=str(entry.error),
             circuit=case["circuit"],
         )
-    verdict = oracle_check(
-        entry.result,
-        samples=config.oracle_samples,
-        seed=config.seed,
-        qmdd_width_limit=config.qmdd_width_limit,
-        strategy=config.verify_strategy,
-    )
+    verdict = oracle_check(entry.result, seed=config.seed)
     report.oracle_checks += 1
     if verdict.equivalent:
         return None

@@ -12,7 +12,7 @@ for each design and testing for equivalence" (Section 5).
 * **sampled** — sparse simulation on random basis inputs; exact per
   sample, used for very wide circuits (the 96-qubit Table 8 runs) where
   building the full QMDD is impractically slow in pure Python.
-* **auto** — qmdd below ``qmdd_width_limit`` qubits, else sampled.
+* **auto** — qmdd up to :data:`QMDD_WIDTH_LIMIT` qubits, else sampled.
   Auto mode first tries the dataflow **abstract-permutation pre-screen**:
   when both circuits are classical-reversible within
   :data:`PRESCREEN_WIDTH_LIMIT` qubits, their exact truth tables are
@@ -28,10 +28,15 @@ The qmdd method runs one of two strategies (see
   the identity; for equivalent circuits the product collapses as it is
   built, so intermediate diagrams stay small.
 * **two_sided** — the paper's original formulation: build both
-  diagrams and compare root pointers.  Kept as the fallback and as the
-  first recheck of a miter NO (the two builds take different float
-  normalization paths, so they double-check each other near tolerance
-  boundaries).
+  diagrams and compare root pointers.  Kept as the reference build of
+  tests and benchmarks and as the first recheck of a miter NO (the two
+  builds take different float normalization paths, so they
+  double-check each other near tolerance boundaries).
+
+A QMDD NO is re-asked by exact methods only (:func:`_arbitrate_no`):
+two-sided after a miter NO, then the dense unitary up to
+:data:`DENSE_ARBITER_WIDTH` wires.  Beyond that the NO stands —
+sampled evidence never overturns a QMDD verdict.
 
 QMDD managers are pooled per process and per width
 (:class:`~repro.qmdd.pool.ManagerPool`), so batch workers and fuzz
@@ -58,6 +63,13 @@ from .sparse_sim import run_sparse, sampled_equivalence
 
 #: QMDD strategies accepted by ``verify_equivalent(strategy=...)``.
 VERIFY_STRATEGIES = ("miter", "two_sided")
+
+#: Widest effective register the auto method builds a QMDD for; wider
+#: circuits are verified by sampling.
+QMDD_WIDTH_LIMIT = 24
+
+#: Widest register whose dense unitary arbitrates a QMDD NO.
+DENSE_ARBITER_WIDTH = 10
 
 #: Width bound of the abstract-permutation pre-screen (the exact
 #: permutation of both circuits is built; 2^width entries each).
@@ -93,15 +105,12 @@ def verify_equivalent(
     mapped: QuantumCircuit,
     method: str = "auto",
     up_to_global_phase: bool = False,
-    qmdd_width_limit: int = 24,
     samples: int = 32,
     seed: int = 2019,
     strategy: str = "miter",
-    pool: bool = True,
     known_zero: Iterable[int] = (),
     prescreen: bool = True,
     output_permutation: Optional[Dict[int, int]] = None,
-    _recheck: bool = False,
 ) -> VerificationReport:
     """Check that ``mapped`` implements ``original`` (ancilla wires must
     act as identity).  Returns a report; never raises on inequivalence —
@@ -111,9 +120,9 @@ def verify_equivalent(
     verdicts reproducible (the differential fuzz harness depends on a
     failing case replaying identically).
 
-    ``strategy`` selects the qmdd build (``"miter"`` or ``"two_sided"``)
-    and ``pool=False`` opts out of the per-process manager pool (used by
-    benchmarks that must measure cold builds).
+    ``strategy`` selects the qmdd build (``"miter"`` or ``"two_sided"``;
+    the compiler always uses the miter, tests and benchmarks pass
+    ``"two_sided"`` as the reference build).
 
     ``known_zero`` restricts the equivalence claim to the subspace where
     the listed wires start in |0⟩ (the compiler passes the facts it let
@@ -167,26 +176,22 @@ def verify_equivalent(
     mapped = QuantumCircuit(width, mapped.gates, name=mapped.name)
     zeros = frozenset(q for q in known_zero if 0 <= q < width)
     if method == "auto":
-        if prescreen and not _recheck:
+        if prescreen:
             screened = _permutation_prescreen(original, mapped, width, zeros)
             if screened is not None:
                 return screened
-        method = "qmdd" if width <= qmdd_width_limit else "sampled"
+        method = "qmdd" if width <= QMDD_WIDTH_LIMIT else "sampled"
 
     metrics = get_metrics()
-    # Rechecks count under their own verify.recheck.* keys: a recheck is
-    # a *consequence* of one NO verdict, not an independent check, and
-    # folding it into verify.*_checks used to dilute hit-rate dashboards.
-    counter_prefix = "verify.recheck." if _recheck else "verify."
-    metrics.inc(f"{counter_prefix}{method}_checks")
+    metrics.inc(f"verify.{method}_checks")
     started = time.perf_counter()
     try:
         report = _verify(
             original, mapped, method, width,
             up_to_global_phase=up_to_global_phase, samples=samples, seed=seed,
-            strategy=strategy, pool=pool,
+            strategy=strategy,
         )
-        if not report.equivalent and zeros and not _recheck:
+        if not report.equivalent and zeros:
             # The full-space check failed, but the claim is only about
             # the |0⟩-restricted subspace (e.g. after constant-
             # propagation deletions that are sound there by design).
@@ -197,9 +202,7 @@ def verify_equivalent(
             )
         return report
     finally:
-        metrics.inc(
-            f"{counter_prefix}seconds", time.perf_counter() - started
-        )
+        metrics.inc("verify.seconds", time.perf_counter() - started)
 
 
 def _verify(
@@ -210,17 +213,13 @@ def _verify(
     up_to_global_phase: bool,
     samples: int,
     seed: int,
-    strategy: str = "miter",
-    pool: bool = True,
+    strategy: str,
 ) -> VerificationReport:
     if method == "qmdd":
         metrics = get_metrics()
-        if pool:
-            manager_pool = get_manager_pool()
-            manager = manager_pool.acquire(width)
-            manager_pool.record_metrics(metrics)
-        else:
-            manager = QMDDManager(width)
+        manager_pool = get_manager_pool()
+        manager = manager_pool.acquire(width)
+        manager_pool.record_metrics(metrics)
         result = qmdd_check(
             original, mapped, num_qubits=width,
             up_to_global_phase=up_to_global_phase, manager=manager,
@@ -231,7 +230,6 @@ def _verify(
         # workers); record them in this process's registry so the batch
         # engine can ship them back to the coordinator.
         manager.record_metrics(metrics)
-        equivalent = result.equivalent
         peak = getattr(result, "peak_nodes", 0)
         if peak:
             metrics.gauge_max("verify.miter_peak_nodes", peak)
@@ -240,60 +238,14 @@ def _verify(
             f"nodes={result.nodes_first}/{result.nodes_second} "
             f"shared_root={result.shared_root}"
         )
-        if not equivalent and strategy == "miter":
-            # The miter and the two-sided build take different float
-            # normalization paths; a miter NO near a tolerance boundary
-            # is first re-asked with the paper's original formulation.
-            metrics.inc("verify.recheck.qmdd_checks")
-            two_sided = qmdd_check(
-                original, mapped, num_qubits=width,
-                up_to_global_phase=up_to_global_phase, manager=manager,
-                strategy="two_sided",
-            )
-            manager.record_metrics(metrics)
-            if two_sided.equivalent:
-                equivalent = True
-                detail += " (recheck:two_sided agreed equivalent)"
-        if not equivalent:
-            # Canonical float DDs can (rarely) produce a *false negative*
-            # when two build paths normalize near a tolerance boundary —
-            # never a false positive.  Re-check a NO verdict with an
-            # independent method before declaring failure.
-            if width <= 10:
-                recheck = verify_equivalent(
-                    original, mapped, method="dense",
-                    up_to_global_phase=up_to_global_phase,
-                    _recheck=True,
-                )
-            else:
-                recheck = verify_equivalent(
-                    original, mapped, method="sampled",
-                    up_to_global_phase=up_to_global_phase, samples=samples,
-                    seed=seed, _recheck=True,
-                )
-            if recheck.equivalent:
-                equivalent = True
-                detail += f" (recheck:{recheck.method} agreed equivalent)"
-        return VerificationReport(
-            method="qmdd",
-            equivalent=equivalent,
-            detail=detail,
+        if result.equivalent:
+            return VerificationReport("qmdd", True, detail)
+        return _arbitrate_no(
+            original, mapped, width, up_to_global_phase, manager, strategy,
+            detail,
         )
     if method == "dense":
-        if width > 12:
-            raise VerificationError("dense verification beyond 12 qubits")
-        a = original.widened(width).unitary()
-        b = mapped.widened(width).unitary()
-        if up_to_global_phase:
-            # Align phases on the largest entry of a.
-            index = np.unravel_index(np.argmax(np.abs(a)), a.shape)
-            if abs(b[index]) > 1e-12:
-                b = b * (a[index] / b[index])
-        return VerificationReport(
-            method="dense",
-            equivalent=bool(np.allclose(a, b, atol=1e-8)),
-            detail=f"dim={a.shape[0]}",
-        )
+        return _dense_verify(original, mapped, width, up_to_global_phase)
     if method == "sampled":
         verdict = sampled_equivalence(
             original, mapped, samples=samples, seed=seed,
@@ -305,6 +257,79 @@ def _verify(
             detail=f"samples={samples}",
         )
     raise VerificationError(f"unknown verification method {method!r}")
+
+
+def _arbitrate_no(
+    original: QuantumCircuit,
+    mapped: QuantumCircuit,
+    width: int,
+    up_to_global_phase: bool,
+    manager: QMDDManager,
+    strategy: str,
+    detail: str,
+) -> VerificationReport:
+    """Re-ask a QMDD NO with exact methods only.
+
+    Canonical float DDs can (rarely) produce a *false negative* when a
+    build normalizes near a tolerance boundary — never a false positive.
+    A miter NO is re-asked by the two-sided build (a different
+    normalization path), then by the dense unitary up to
+    :data:`DENSE_ARBITER_WIDTH` wires; an exact YES wins.  Beyond that
+    width the NO stands.  Rechecks count under their own
+    ``verify.recheck.*`` keys, apart from the primary checks.
+    """
+    metrics = get_metrics()
+    started = time.perf_counter()
+    try:
+        if strategy == "miter":
+            metrics.inc("verify.recheck.qmdd_checks")
+            two_sided = qmdd_check(
+                original, mapped, num_qubits=width,
+                up_to_global_phase=up_to_global_phase, manager=manager,
+                strategy="two_sided",
+            )
+            manager.record_metrics(metrics)
+            if two_sided.equivalent:
+                return VerificationReport(
+                    "qmdd", True,
+                    f"{detail} (recheck:two_sided agreed equivalent)",
+                )
+        if width > DENSE_ARBITER_WIDTH:
+            return VerificationReport(
+                "qmdd", False,
+                f"{detail} [NO stands: no exact arbiter beyond "
+                f"{DENSE_ARBITER_WIDTH} wires]",
+            )
+        metrics.inc("verify.recheck.dense_checks")
+        equivalent = _dense_verify(
+            original, mapped, width, up_to_global_phase
+        ).equivalent
+        note = " (recheck:dense agreed equivalent)" if equivalent else ""
+        return VerificationReport("qmdd", equivalent, detail + note)
+    finally:
+        metrics.inc("verify.recheck.seconds", time.perf_counter() - started)
+
+
+def _dense_verify(
+    original: QuantumCircuit,
+    mapped: QuantumCircuit,
+    width: int,
+    up_to_global_phase: bool,
+) -> VerificationReport:
+    if width > 12:
+        raise VerificationError("dense verification beyond 12 qubits")
+    a = original.widened(width).unitary()
+    b = mapped.widened(width).unitary()
+    if up_to_global_phase:
+        # Align phases on the largest entry of a.
+        index = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+        if abs(b[index]) > 1e-12:
+            b = b * (a[index] / b[index])
+    return VerificationReport(
+        method="dense",
+        equivalent=bool(np.allclose(a, b, atol=1e-8)),
+        detail=f"dim={a.shape[0]}",
+    )
 
 
 def _permutation_prescreen(

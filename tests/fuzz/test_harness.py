@@ -57,6 +57,27 @@ class TestOracle:
         verdict = oracle_check(result)
         assert verdict.equivalent
 
+    def test_oracle_flags_rare_input_miscompile(self):
+        """An MCX on every wire but one, appended to a 20-wire output,
+        changes 2 of 2^20 basis inputs; the oracle must still say NO."""
+        import dataclasses
+
+        from repro.core import MCX
+
+        circuit = QuantumCircuit(3, [TOFFOLI(0, 1, 2), CNOT(0, 2)],
+                                 name="rare")
+        device = build_fuzz_device("tokyo20")
+        result = CompileJob.make(circuit, device, resolve_options({})).run()
+        width = device.num_qubits
+        mutated = QuantumCircuit(
+            width,
+            list(result.optimized.gates) + [MCX(*range(1, width), 0)],
+        )
+        verdict = oracle_check(
+            dataclasses.replace(result, optimized=mutated)
+        )
+        assert not verdict.equivalent
+
 
 class TestCampaign:
     def test_clean_campaign_finds_nothing(self):

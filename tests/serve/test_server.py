@@ -141,11 +141,9 @@ class TestOverload:
             ServeConfig(workers=1, queue_depth=1, allow_test_delay=True)
         )
         try:
-            slow_started = threading.Event()
             outcomes = []
 
             def slow(name):
-                slow_started.set()
                 outcomes.append(
                     box.client.compile(
                         BELL_QASM, device="ibmqx4", name=name,
@@ -160,10 +158,13 @@ class TestOverload:
             ]
             for holder in holders:
                 holder.start()
-            slow_started.wait(timeout=5.0)
-            # Generous window: under a loaded machine the holders can
-            # take a while to both be admitted.
+            # Probe only once both holders have been admitted: an
+            # earlier overflow request could take the queue slot and
+            # leave a holder with the 429 instead.
             deadline = time.monotonic() + 10.0
+            while box.client.healthz()["requests_total"] < 2:
+                assert time.monotonic() < deadline, "holders never arrived"
+                time.sleep(0.01)
             status = None
             while time.monotonic() < deadline:
                 try:

@@ -85,8 +85,8 @@ class TestVerdicts:
 
 
 class TestQmddFalseNegativeRecheck:
-    """The facade must recover from a (rare) QMDD false negative by
-    independent recheck — and still report true non-equivalence."""
+    """The facade recovers from a (rare) QMDD false negative by exact
+    recheck only — and still reports true non-equivalence."""
 
     def _fake_no(self, monkeypatch):
         import repro.verify.equivalence as eq
@@ -108,16 +108,18 @@ class TestQmddFalseNegativeRecheck:
         assert report.equivalent
         assert "recheck:dense" in report.detail
 
-    def test_recheck_rescues_equal_wide_circuits(self, monkeypatch):
+    def test_no_stands_on_wide_circuits(self, monkeypatch):
+        """Beyond the dense arbiter's width no exact method can overturn
+        a QMDD NO; sampled agreement is evidence, not proof."""
         self._fake_no(monkeypatch)
         gate = MCX(*range(9), 20)
-        from repro.backend import lower_mcx_gates
-
         a = QuantumCircuit(96, [gate])
         b = QuantumCircuit(96, lower_mcx_gates([gate], 96))
         report = verify_equivalent(a, b, method="qmdd")
-        assert report.equivalent
-        assert "recheck:sampled" in report.detail
+        assert not report.equivalent
+        assert report.method == "qmdd"
+        assert "no exact arbiter" in report.detail
+        assert "recheck:" not in report.detail
 
     def test_recheck_confirms_true_negatives(self, monkeypatch):
         self._fake_no(monkeypatch)
@@ -125,3 +127,23 @@ class TestQmddFalseNegativeRecheck:
         b = QuantumCircuit(2, [CNOT(1, 0)])
         report = verify_equivalent(a, b, method="qmdd")
         assert not report.equivalent
+
+
+class TestRareInputMiscompile:
+    """An MCX on all wires but one differs from the identity on 2 of
+    2^n basis inputs: 32 random samples almost never see it, so a
+    sampled recheck must not overturn the QMDD NO."""
+
+    def _pair(self):
+        a = QuantumCircuit(14, [H(0)])
+        b = QuantumCircuit(14, [H(0), MCX(*range(1, 13), 13)])
+        return a, b
+
+    def test_fourteen_wire_miscompile_is_not_equivalent(self):
+        report = verify_equivalent(*self._pair())
+        assert not report.equivalent
+        assert report.method == "qmdd"
+
+    def test_require_equivalent_rejects_it(self):
+        with pytest.raises(VerificationError):
+            require_equivalent(*self._pair())
